@@ -32,13 +32,6 @@ FLAT_SMOKE_JSON  = flat-smoke.json
 FLAT_BASELINE    = BENCH_flat.json
 BENCHCMP_FLAGS  =
 
-# Networked retwis smoke: tiny closed-loop run of the Table-2 workload as
-# RESP pipelines against a self-hosted dego-server, one point per store
-# kind; the latency JSON lands as a CI artifact (net-<short-sha>.json, same
-# diffable-trajectory idea as the bench smoke).
-NET_SMOKE_FLAGS = -net -stores adaptive,striped -conns 2 -pipeline 8 -netusers 2000 -netduration 300ms
-NET_SMOKE_JSON  = net-smoke.json
-
 # Open-loop frontier smoke: a short two-rate walk of one store kind,
 # measured coordinated-omission-free (latency from intended start), once
 # over a clean network and once through the -chaos fault-injected dialer.
@@ -75,7 +68,7 @@ CHAOS_JSON = chaos-smoke.json
 
 COVER_PROFILE = coverage.out
 
-.PHONY: build test race bench-smoke bench-flat bench-compare server-smoke net-smoke openloop-smoke frontier-baseline frontier-compare advise-smoke chaos-smoke cover fmt fmt-check vet docs-check api api-check deprecations
+.PHONY: build test race bench-smoke bench-flat bench-compare server-smoke openloop-smoke frontier-baseline frontier-compare advise-smoke chaos-smoke cover fmt fmt-check vet docs-check api api-check perfbench-check
 
 build:
 	$(GO) build ./...
@@ -104,9 +97,6 @@ bench-compare:
 # (CI images have no redis-cli); every reply is checked.
 server-smoke:
 	$(GO) run ./cmd/dego-server -smoke -shards 2
-
-net-smoke:
-	$(GO) run ./cmd/retwis-bench $(NET_SMOKE_FLAGS) -json $(NET_SMOKE_JSON)
 
 openloop-smoke:
 	$(GO) run ./cmd/retwis-bench $(OPENLOOP_SMOKE_FLAGS) -json $(FRONTIER_JSON)
@@ -156,12 +146,13 @@ api:
 api-check:
 	$(GO) run ./cmd/apidump -check api/dego.txt
 
-# Staticcheck-style sweep: no in-repo call site (benches, backends,
-# examples, tests) may use the deprecated representation-specific
-# constructors outside their own definitions — everything constructs
-# through the profile API.
-deprecations:
-	$(GO) run ./cmd/deprecations
+# The benchmark (perfbench/) is its own Go module that replaces the root
+# module by path, so ./... never reaches it: vet and test it separately, so
+# a change to internal API the benchmark uses fails here rather than at
+# benchmark time.
+perfbench-check:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test -count=1 .
 
 fmt:
 	gofmt -l -w .

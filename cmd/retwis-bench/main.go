@@ -12,29 +12,23 @@
 //	retwis-bench -fig 10 [-alphas 0,0.25,0.5,0.75,1,2]
 //	retwis-bench -fig all
 //
-// -net switches to the networked evaluation: the same Table-2 workload is
-// generated client-side and shipped to a dego-server as RESP pipelines,
-// producing latency-vs-throughput points (p50/p95/p99 of the pipeline round
-// trip). By default it self-hosts one server per store kind in -stores; with
-// -addr it targets a live server instead. -json writes the points as a JSON
-// array (the CI artifact):
-//
-//	retwis-bench -net [-stores adaptive,striped] [-conns 4] [-pipeline 8]
-//	             [-netusers 10000] [-netduration 2s] [-json net.json]
-//	retwis-bench -net -addr 127.0.0.1:6399
-//
-// -openloop switches to the open-loop frontier: arrivals are scheduled on a
-// Poisson (or fixed-interval) process at each target rate in -rates, and
-// latency is measured from *intended* start, so queueing delay behind a
-// stalled server is recorded instead of coordinated away (see README,
-// "Measuring latency"). The sweep walks rates per (store kind × shard
-// count × pipeline depth) cell until saturation and emits a frontier JSON;
-// -chaos runs the same sweep through a fault-injecting dialer for the
-// latency-under-chaos curve:
+// -openloop switches to the networked evaluation: the same Table-2 workload
+// is generated client-side and shipped to a dego-server as RESP pipelines.
+// Arrivals are scheduled on a Poisson (or fixed-interval) process at each
+// target rate in -rates, and latency is measured from *intended* start, so
+// queueing delay behind a stalled server is recorded instead of coordinated
+// away (see README, "Measuring latency"). By default it self-hosts one
+// server per store kind in -stores and walks rates per (store kind × shard
+// count × pipeline depth) cell until saturation; with -addr it targets a
+// live server instead. -json writes the frontier as a JSON array (the CI
+// artifact); -chaos runs the same sweep through a fault-injecting dialer
+// for the latency-under-chaos curve:
 //
 //	retwis-bench -openloop [-stores adaptive,striped] [-shardcounts 2]
 //	             [-pipelines 8] [-rates 2k,4k,8k] [-olduration 1s]
-//	             [-olworkers 4] [-arrivals poisson] [-json frontier.json]
+//	             [-olworkers 4] [-netusers 10000] [-arrivals poisson]
+//	             [-json frontier.json]
+//	retwis-bench -openloop -addr 127.0.0.1:6399
 //	retwis-bench -openloop -chaos [-chaosseed 42]
 //
 // -advise switches to the tuning-advisor replay: the same Table-2 workload
@@ -53,6 +47,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -82,16 +77,11 @@ func run(args []string) error {
 	duration := fs.Duration("duration", 500*time.Millisecond, "measured duration per point")
 	alpha := fs.Float64("alpha", 1, "user-selection bias for figure 9")
 
-	netMode := fs.Bool("net", false, "networked mode: drive dego-server over TCP instead of the figures")
-	netAddr := fs.String("addr", "", "live server address for -net ('' self-hosts per store kind)")
+	netAddr := fs.String("addr", "", "live server address for -openloop ('' self-hosts per store kind)")
 	storesFlag := fs.String("stores", "adaptive,striped",
-		"store kinds for self-hosted -net (any of: "+strings.Join(server.StoreKinds(), ", ")+")")
-	conns := fs.Int("conns", 4, "client connections for -net")
-	pipelineDepth := fs.Int("pipeline", 8, "ops batched per pipeline flush for -net")
-	netUsers := fs.Int("netusers", 10_000, "seeded users for -net")
-	netDuration := fs.Duration("netduration", 2*time.Second, "measured duration per -net point")
-	netOps := fs.Int("netops", 0, "ops per connection for -net (0 = duration mode)")
-	jsonPath := fs.String("json", "", "write -net / -openloop points as a JSON array to this file")
+		"store kinds for self-hosted -openloop (any of: "+strings.Join(server.StoreKinds(), ", ")+")")
+	netUsers := fs.Int("netusers", 10_000, "seeded users for -openloop")
+	jsonPath := fs.String("json", "", "write -openloop points or -advise tables as a JSON array to this file")
 
 	openLoop := fs.Bool("openloop", false, "open-loop mode: arrival-rate-driven latency frontier (coordinated-omission-free)")
 	ratesFlag := fs.String("rates", "2k,4k,8k", "arrival rates walked per frontier cell (ops/sec, k/m suffixes)")
@@ -123,10 +113,6 @@ func run(args []string) error {
 			process: *arrivals, alpha: *alpha, chaos: *chaosMode,
 			chaosSeed: *chaosSeed, jsonPath: *jsonPath,
 		})
-	}
-	if *netMode {
-		return runNet(*netAddr, *storesFlag, *conns, *pipelineDepth, *netUsers,
-			*netDuration, *netOps, *alpha, *jsonPath)
 	}
 
 	users, err := parseInts(*usersFlag)
@@ -183,40 +169,6 @@ func runAdvise(users, threads, ops int, alpha float64, jsonPath string) error {
 		return writeJSON(jsonPath, tables, len(tables))
 	}
 	return nil
-}
-
-// runNet measures latency-vs-throughput points: one per store kind when
-// self-hosting, a single "remote" point when -addr targets a live server.
-func runNet(addr, stores string, conns, pipeline, users int,
-	duration time.Duration, opsPerConn int, alpha float64, jsonPath string) error {
-	p := retwis.DefaultParams()
-	p.Users = users
-	p.Threads = conns
-	p.Alpha = alpha
-	p.Duration = duration
-	p.OpsPerThread = opsPerConn
-	base := retwis.NetParams{Workload: p, Addr: addr, Pipeline: pipeline}
-
-	var points []retwis.NetPoint
-	if addr != "" {
-		pt, err := retwis.RunNet(base)
-		if err != nil {
-			return err
-		}
-		points = append(points, pt)
-		fmt.Printf("remote %s: %.0f ops/s, p50 %dµs, p95 %dµs, p99 %dµs, errors %d, retries %d, reconnects %d\n",
-			addr, pt.OpsPerSec, pt.P50us, pt.P95us, pt.P99us, pt.Errors, pt.Retries, pt.Reconnects)
-	} else {
-		kinds, err := parseStores(stores)
-		if err != nil {
-			return err
-		}
-		points, err = retwis.NetCurve(os.Stdout, base, kinds)
-		if err != nil {
-			return err
-		}
-	}
-	return writeJSON(jsonPath, points, len(points))
 }
 
 // openLoopArgs carries the -openloop flag set.
@@ -371,10 +323,11 @@ func parseRates(s string) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		if f*mult <= 0 {
-			return nil, fmt.Errorf("rate %q is not positive", p)
+		r := f * mult
+		if !(r > 0) || math.IsInf(r, 1) {
+			return nil, fmt.Errorf("rate %q is not positive and finite", p)
 		}
-		out = append(out, f*mult)
+		out = append(out, r)
 	}
 	return out, nil
 }

@@ -42,7 +42,7 @@ func TestParseRates(t *testing.T) {
 			t.Fatalf("parseRates[%d] = %v, want %v", i, r, want[i])
 		}
 	}
-	for _, bad := range []string{"x", "1g", "0", "-2k", ""} {
+	for _, bad := range []string{"x", "1g", "0", "-2k", "", "nan", "inf"} {
 		if _, err := parseRates(bad); err == nil {
 			t.Fatalf("parseRates(%q) accepted", bad)
 		}
@@ -51,12 +51,10 @@ func TestParseRates(t *testing.T) {
 
 // Regression: an unknown store kind must surface the typed
 // *server.UnknownStoreKindError and fail the run before any server boots
-// or socket dials — on the -net path and the -openloop path alike. The
-// time bound is the "before dialing anything" proof: validation fails in
+// or socket dials. The time bound is the "before dialing anything" proof: validation fails in
 // microseconds, a sweep would take seconds.
 func TestUnknownStoreKindFailsTypedBeforeDialing(t *testing.T) {
 	for _, args := range [][]string{
-		{"-net", "-stores", "adaptive,bogus"},
 		{"-openloop", "-stores", "bogus", "-rates", "1k"},
 	} {
 		start := time.Now()
@@ -78,7 +76,7 @@ func TestUnknownStoreKindFailsTypedBeforeDialing(t *testing.T) {
 // the empty entry to the default store kind and measure the wrong thing.
 func TestEmptyStoreKindRejected(t *testing.T) {
 	for _, stores := range []string{"adaptive,", ",striped", "adaptive,,striped"} {
-		if err := run([]string{"-net", "-stores", stores}); err == nil {
+		if err := run([]string{"-openloop", "-stores", stores, "-rates", "1k"}); err == nil {
 			t.Fatalf("-stores %q accepted", stores)
 		}
 	}

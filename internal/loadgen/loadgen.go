@@ -4,11 +4,11 @@
 // moment the schedule said it should begin — to its completion, not from
 // when a worker finally got around to sending it.
 //
-// That distinction is the whole point. A closed-loop harness (like the
-// retwis -net curve) issues the next request only after the previous one
-// returns, so a server stall silently paces the client down: the stalled
-// request measures slow, but the requests that *would have arrived* during
-// the stall are never issued and never measured. This is coordinated
+// That distinction is the whole point. A closed-loop harness issues the
+// next request only after the previous one returns, so a server stall
+// silently paces the client down: the stalled request measures slow, but
+// the requests that *would have arrived* during the stall are never issued
+// and never measured. This is coordinated
 // omission, and it hides exactly the queueing delay a production latency
 // SLO cares about. An open-loop generator keeps the clock honest: arrivals
 // are fixed in advance, a stalled connection makes subsequent arrivals
@@ -24,6 +24,7 @@ package loadgen
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -91,8 +92,8 @@ type Config struct {
 }
 
 func (c *Config) fill() error {
-	if c.Rate <= 0 {
-		return errors.New("loadgen: Rate must be positive")
+	if !(c.Rate > 0) || math.IsInf(c.Rate, 1) {
+		return errors.New("loadgen: Rate must be positive and finite")
 	}
 	if c.Count == 0 {
 		c.Count = int(c.Rate * c.Duration.Seconds())

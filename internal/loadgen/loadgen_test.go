@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -203,6 +204,12 @@ func TestRunErrorAccounting(t *testing.T) {
 func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Rate: 0, Count: 10}, nil); err == nil {
 		t.Fatal("zero rate accepted")
+	}
+	if _, err := Run(Config{Rate: math.NaN(), Count: 10}, nil); err == nil {
+		t.Fatal("NaN rate accepted")
+	}
+	if _, err := Run(Config{Rate: math.Inf(1), Count: 10}, nil); err == nil {
+		t.Fatal("+Inf rate accepted")
 	}
 	if _, err := Run(Config{Rate: 100}, nil); err == nil {
 		t.Fatal("no count and no duration accepted")

@@ -1,7 +1,6 @@
 package retwis
 
 import (
-	"io"
 	"testing"
 
 	"github.com/adjusted-objects/dego/internal/server"
@@ -101,60 +100,4 @@ func usersOf(p Params, tid int) []UserID {
 		}
 	}
 	return mine
-}
-
-func TestRunNetSelfHostedAndRemote(t *testing.T) {
-	np := NetParams{Workload: netTestParams(), Store: server.StoreStriped, Pipeline: 8}
-	pt, err := RunNet(np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Store != server.StoreStriped || pt.Conns != 2 {
-		t.Fatalf("point %+v", pt)
-	}
-	wantOps := int64(2 * 200) // OpsPerThread mode rounds to pipeline multiples: 200 % 8 == 0
-	if pt.Ops != wantOps {
-		t.Fatalf("ops = %d, want %d", pt.Ops, wantOps)
-	}
-	if pt.Commands < pt.Ops || pt.OpsPerSec <= 0 {
-		t.Fatalf("implausible point %+v", pt)
-	}
-	if pt.P50us > pt.P99us || pt.P99us > pt.MaxUs {
-		t.Fatalf("percentiles out of order: %+v", pt)
-	}
-
-	// Against a live address: boot a server, point RunNet at it.
-	srv, err := server.New(server.Config{Store: server.StoreConfig{Shards: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	defer srv.Close()
-	np.Addr = srv.Addr().String()
-	np.Workload.OpsPerThread = 80
-	pt, err = RunNet(np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Store != "remote" || pt.Ops != 2*80 {
-		t.Fatalf("remote point %+v", pt)
-	}
-}
-
-func TestNetCurveRunsAllKinds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-backend curve in short mode")
-	}
-	np := NetParams{Workload: netTestParams(), Pipeline: 4}
-	np.Workload.OpsPerThread = 40
-	pts, err := NetCurve(io.Discard, np, []string{server.StoreAdaptive, server.StoreStriped})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 || pts[0].Store == pts[1].Store {
-		t.Fatalf("points %+v", pts)
-	}
 }

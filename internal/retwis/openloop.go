@@ -3,6 +3,7 @@ package retwis
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"github.com/adjusted-objects/dego/internal/faultnet"
@@ -13,9 +14,9 @@ import (
 // OpenLoopParams configures one open-loop point: the Table-2 workload
 // scheduled on an arrival process at a target rate, measured from intended
 // start (see internal/loadgen for why that kills coordinated omission).
-// Unlike the closed-loop NetParams, Workload.Threads is ignored — the
-// worker pool size is Workers, and ops are drawn from one global stream so
-// the schedule, not the pool, decides when work happens.
+// Workload.Threads is ignored: the worker pool size is Workers, and ops are
+// drawn from one global stream so the schedule, not the pool, decides when
+// work happens.
 type OpenLoopParams struct {
 	Workload Params
 	// Addr targets a live server; "" self-hosts one per point.
@@ -128,15 +129,16 @@ func (e *olExecutor) Close() error { return e.cl.Close() }
 
 // RunOpenLoop measures one frontier point. Self-hosted mode boots a server,
 // seeds it, runs the schedule, and tears everything down; with Addr set it
-// issues FLUSHALL and reseeds the live server first, like RunNet.
+// issues FLUSHALL and reseeds the live server first, so successive points
+// start from the same state.
 func RunOpenLoop(olp OpenLoopParams) (FrontierPoint, error) {
 	olp.fill()
 	p := olp.Workload
 	if err := p.Mix.Validate(); err != nil {
 		return FrontierPoint{}, err
 	}
-	if olp.Rate <= 0 {
-		return FrontierPoint{}, fmt.Errorf("retwis: open loop needs a positive arrival rate")
+	if !(olp.Rate > 0) || math.IsInf(olp.Rate, 1) {
+		return FrontierPoint{}, fmt.Errorf("retwis: open loop needs a positive, finite arrival rate")
 	}
 
 	addr := olp.Addr

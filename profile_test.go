@@ -172,7 +172,7 @@ func TestPlannerDecisions(t *testing.T) {
 		{"Counter", []Option{WriteOnce()}, "", ""},
 		// The flat counter: blind + commuting + a declared cell capacity.
 		// Without CommutingWriters the same capacity keeps the Adder (its
-		// CAS loop doubles as the contention instrument), as NewAdder pins.
+		// CAS loop doubles as the contention instrument).
 		{"Counter", []Option{Blind(), CommutingWriters(), Capacity(8)}, "(C3, CWMR)", "FlatCounter"},
 		{"Counter", []Option{Blind(), Capacity(8)}, "(C3, ALL)", "Adder"},
 		{"Counter", []Option{Blind(), CommutingWriters(), Capacity(8), WithProbe(NewProbe())}, "(C3, CWMR)", "Adder"},
