@@ -9,7 +9,7 @@ GO ?= go
 # promote/demote flapping), the resilience layer (fault injection and
 # the chaos storm), and the open-loop load generator (clock goroutine
 # feeding a worker pool through a bounded queue).
-RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/skiplist/... ./internal/wire/... ./internal/server/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/...
+RACE_PKGS = ./internal/adaptive/... ./internal/core/... ./internal/counter/... ./internal/flatmap/... ./internal/hashmap/... ./internal/skiplist/... ./internal/wire/... ./internal/server/... ./internal/faultnet/... ./internal/chaos/... ./internal/loadgen/... ./internal/usage/... ./internal/advisor/... ./internal/retwis/...
 
 # Tiny configuration for the bench-smoke job: catches harness bit-rot
 # without burning CI minutes; the JSON lands as a workflow artifact. The

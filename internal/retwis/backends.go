@@ -1,21 +1,23 @@
 package retwis
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/adjusted-objects/dego"
-	"github.com/adjusted-objects/dego/internal/contention"
 	"github.com/adjusted-objects/dego/internal/core"
 	"github.com/adjusted-objects/dego/internal/set"
 	"github.com/adjusted-objects/dego/internal/stats"
 )
 
-// Every top-level shared object is constructed through the public profile
-// API: the backend declares how it uses the structure (commuting per-user
-// writes, single-consumer timelines, ...) and the planner picks the
-// representation, which the backend then drives directly. UserID is a named
-// integer type, so the maps pass WithHash explicitly — the built-in default
-// hashers cover only the unnamed key types.
+// The JUC, DEGO and FLAT backends are one push-model application built
+// from three declarations: every top-level shared object is constructed
+// through the public profile API, the declaration says how the application
+// uses it (commuting per-user writes, single-consumer timelines, or nothing
+// at all), and the planner picks the representation. The application code
+// never names a representation. UserID is a named integer type, so the
+// node-based declarations pass WithHash explicitly (the built-in default
+// hashers cover only the unnamed key types).
 //
 // The per-user inner sets (set.Locked) stay deliberately unadjusted and
 // un-planned (§6.3: adjusting them costs more in write amplification than
@@ -25,180 +27,141 @@ import (
 func userHash(u UserID) uint64 { return stats.Hash64(uint64(u)) }
 
 // profile is an immutable profile snapshot, replaced wholesale on update
-// (both backends pay the same allocation).
+// (every backend pays the same allocation).
 type profile struct {
 	Version int64
 }
 
 // ---------------------------------------------------------------------------
-// JUC backend
+// Push-model backend: JUC, DEGO and FLAT
 
-type jucBackend struct {
-	followers *dego.StripedMap[UserID, *set.Locked[UserID]]
-	following *dego.StripedMap[UserID, *set.Locked[UserID]]
-	timelines *dego.StripedMap[UserID, *dego.MSQueue[Tweet]]
-	profiles  *dego.StripedMap[UserID, *profile]
-	community *dego.StripedSet[UserID]
-	probe     *contention.Probe
+// declaration is what tells JUC, DEGO and FLAT apart: the options each
+// shared table is planned from. The four per-user maps (followers,
+// following, timelines, profiles) are used identically, so they share one
+// option list.
+type declaration struct {
+	userMap   []dego.Option
+	community []dego.Option
+	timeline  []dego.Option // each user's queue
 }
 
-// jucMap plans a baseline map: no adjustment declared, so the planner
-// yields the lock-striped representation.
-func jucMap[V any](expectedUsers int, probe *contention.Probe) *dego.StripedMap[UserID, V] {
-	return dego.Must(dego.Map[UserID, V](dego.Stripes(256), dego.Capacity(expectedUsers),
-		dego.WithHash(userHash), dego.WithProbe(probe))).Representation().(*dego.StripedMap[UserID, V])
-}
-
-// NewJUC builds the baseline backend; probe may be nil.
-func NewJUC(expectedUsers int, probe *contention.Probe) Backend {
-	return &jucBackend{
-		followers: jucMap[*set.Locked[UserID]](expectedUsers, probe),
-		following: jucMap[*set.Locked[UserID]](expectedUsers, probe),
-		timelines: jucMap[*dego.MSQueue[Tweet]](expectedUsers, probe),
-		profiles:  jucMap[*profile](expectedUsers, probe),
-		community: dego.Must(dego.Set[UserID](dego.Stripes(256), dego.Capacity(expectedUsers/8+16),
-			dego.WithHash(userHash), dego.WithProbe(probe))).Representation().(*dego.StripedSet[UserID]),
-		probe: probe,
-	}
-}
-
-func (b *jucBackend) Name() string { return "JUC" }
-
-func (b *jucBackend) AddUser(_ *core.Handle, u UserID) {
-	b.followers.Put(u, set.NewLocked[UserID](4, b.probe))
-	b.following.Put(u, set.NewLocked[UserID](4, b.probe))
-	b.timelines.Put(u, dego.Must(dego.Queue[Tweet](dego.WithProbe(b.probe))).Representation().(*dego.MSQueue[Tweet]))
-	b.profiles.Put(u, &profile{})
-}
-
-func (b *jucBackend) Follow(_ *core.Handle, follower, followee UserID) {
-	if s, ok := b.following.Get(follower); ok {
-		s.Add(followee)
-	}
-	if s, ok := b.followers.Get(followee); ok {
-		s.Add(follower)
-	}
-}
-
-func (b *jucBackend) Unfollow(_ *core.Handle, follower, followee UserID) {
-	if s, ok := b.following.Get(follower); ok {
-		s.Remove(followee)
-	}
-	if s, ok := b.followers.Get(followee); ok {
-		s.Remove(follower)
-	}
-}
-
-func (b *jucBackend) Post(_ *core.Handle, author UserID, t Tweet) {
-	fset, ok := b.followers.Get(author)
-	if !ok {
-		return
-	}
-	n := 0
-	fset.Range(func(f UserID) bool {
-		if q, ok := b.timelines.Get(f); ok {
-			q.Offer(t)
+// declare returns kind's declaration for a graph of users users.
+func declare(kind Kind, users int) declaration {
+	hash := dego.WithHash(userHash)
+	group := users/8 + 16
+	switch kind {
+	case KindJUC:
+		// No restriction declared: lock-striped tables and Michael–Scott
+		// timelines, the unadjusted baseline.
+		return declaration{
+			userMap:   []dego.Option{dego.Stripes(256), dego.Capacity(users), hash},
+			community: []dego.Option{dego.Stripes(256), dego.Capacity(group), hash},
 		}
-		n++
-		return n < FanoutLimit
-	})
-}
-
-func (b *jucBackend) Timeline(_ *core.Handle, u UserID, out []Tweet) int {
-	q, ok := b.timelines.Get(u)
-	if !ok {
-		return 0
-	}
-	return drainLastMS(q, out)
-}
-
-func (b *jucBackend) JoinGroup(_ *core.Handle, u UserID)  { b.community.Add(u) }
-func (b *jucBackend) LeaveGroup(_ *core.Handle, u UserID) { b.community.Remove(u) }
-
-func (b *jucBackend) UpdateProfile(_ *core.Handle, u UserID, version int64) {
-	b.profiles.Put(u, &profile{Version: version})
-}
-
-func (b *jucBackend) InGroup(u UserID) bool { return b.community.Contains(u) }
-
-func (b *jucBackend) Followers(u UserID) int {
-	if s, ok := b.followers.Get(u); ok {
-		return s.Len()
-	}
-	return 0
-}
-
-func (b *jucBackend) Users() int { return b.profiles.Len() }
-
-// drainLastMS fetches every queued message and keeps the most recent
-// len(out) of them (the paper reads the full queue and returns the last 50).
-func drainLastMS(q *dego.MSQueue[Tweet], out []Tweet) int {
-	n := 0
-	for {
-		t, ok := q.Poll()
-		if !ok {
-			break
+	case KindDEGO:
+		// Per-user writes commute (distinct threads own distinct users), so
+		// the tables are (M2, CWMR) and (S3, CWMR) segmentations; a
+		// timeline's single consumer is its user's owner thread (Q1, MWSR).
+		dir := dego.Buckets(2 * users)
+		return declaration{
+			userMap:   []dego.Option{dego.CommutingWriters(), dego.Capacity(users), dir, hash},
+			community: []dego.Option{dego.CommutingWriters(), dego.Capacity(group), dir, hash},
+			timeline:  []dego.Option{dego.SingleReader()},
 		}
-		if n < len(out) {
-			out[n] = t
-			n++
-		} else {
-			copy(out, out[1:])
-			out[len(out)-1] = t
+	case KindFLAT:
+		// The DEGO profile without hash or directory tuning: commuting
+		// writers plus a declared capacity over an integer key is the
+		// planner's flat gate, so the tables land in preallocated slot
+		// arrays (the integer-key codec reinterprets UserID).
+		return declaration{
+			userMap:   []dego.Option{dego.CommutingWriters(), dego.Capacity(users)},
+			community: []dego.Option{dego.CommutingWriters(), dego.Capacity(group)},
+			timeline:  []dego.Option{dego.SingleReader()},
 		}
 	}
-	return n
+	panic(fmt.Sprintf("retwis: no push-model declaration for %v", kind))
 }
 
-// ---------------------------------------------------------------------------
-// DEGO backend
-
-type degoBackend struct {
-	followers *dego.SegmentedMap[UserID, *set.Locked[UserID]]
-	following *dego.SegmentedMap[UserID, *set.Locked[UserID]]
-	timelines *dego.SegmentedMap[UserID, *dego.MPSCQueue[Tweet]]
-	profiles  *dego.SegmentedMap[UserID, *profile]
-	community *dego.SegmentedSet[UserID]
-	probe     *contention.Probe
+// timeline is a user's pending-message queue as the push model drives it:
+// any thread offers, the owner thread polls. The planned MPSC queue has
+// these methods, so a timeline stores the bare representation: a facade
+// per user would grow the heap of a 100k-user graph by about 13%. The
+// Michael–Scott baseline lacks the handle-taking methods, and a recorded
+// queue must go through its recorder, so both keep their facade.
+type timeline interface {
+	Offer(h *core.Handle, t Tweet)
+	Poll(h *core.Handle) (Tweet, bool)
 }
 
-// degoMap plans an adjusted map: per-user writes commute (distinct threads
-// own distinct users), so the planner yields the extended segmentation of
-// (M2, CWMR).
-func degoMap[V any](r *core.Registry, expectedUsers, dir int) *dego.SegmentedMap[UserID, V] {
-	return dego.Must(dego.Map[UserID, V](dego.CommutingWriters(), dego.On(r),
-		dego.Capacity(expectedUsers), dego.Buckets(dir), dego.WithHash(userHash))).Representation().(*dego.SegmentedMap[UserID, V])
+// pushBackend is the application of §6.3: a post is pushed into the
+// timeline queue of each of the author's first FanoutLimit followers, and
+// a timeline read drains the reader's queue. Callers own the acting user,
+// as the Backend contract says; which representation serves each table is
+// the declaration's business.
+type pushBackend struct {
+	kind      Kind
+	followers *dego.AdjustedMap[UserID, *set.Locked[UserID]]
+	following *dego.AdjustedMap[UserID, *set.Locked[UserID]]
+	timelines *dego.AdjustedMap[UserID, timeline]
+	profiles  *dego.AdjustedMap[UserID, *profile]
+	community *dego.AdjustedSet[UserID]
+	queue     []dego.Option // the timeline declaration, placed on the registry
+	// record attaches usage recorders to the tables and to user 0's
+	// timeline, the representative queue (a recorder per user would
+	// cost memory for identical evidence).
+	record bool
 }
 
-// NewDEGO builds the adjusted backend over a registry. The maps are
-// (M2, CWMR) segmented maps keyed by user; timelines are MPSC queues whose
-// single consumer is the user's owner thread.
-func NewDEGO(r *core.Registry, expectedUsers int, probe *contention.Probe) Backend {
-	dir := expectedUsers * 2
-	return &degoBackend{
-		followers: degoMap[*set.Locked[UserID]](r, expectedUsers, dir),
-		following: degoMap[*set.Locked[UserID]](r, expectedUsers, dir),
-		timelines: degoMap[*dego.MPSCQueue[Tweet]](r, expectedUsers, dir),
-		profiles:  degoMap[*profile](r, expectedUsers, dir),
-		community: dego.Must(dego.Set[UserID](dego.CommutingWriters(), dego.On(r),
-			dego.Capacity(expectedUsers/8+16), dego.Buckets(dir), dego.WithHash(userHash))).Representation().(*dego.SegmentedSet[UserID]),
-		probe: probe,
+// newPushBackend plans kind's declaration on r for a graph of users users.
+func newPushBackend(kind Kind, r *core.Registry, users int, record bool) *pushBackend {
+	d := declare(kind, users)
+	placed := func(opts []dego.Option) []dego.Option {
+		out := append([]dego.Option{dego.On(r)}, opts...)
+		if record {
+			out = append(out, dego.WithUsageRecording())
+		}
+		return out
+	}
+	m := placed(d.userMap)
+	return &pushBackend{
+		kind:      kind,
+		followers: dego.Must(dego.Map[UserID, *set.Locked[UserID]](m...)),
+		following: dego.Must(dego.Map[UserID, *set.Locked[UserID]](m...)),
+		timelines: dego.Must(dego.Map[UserID, timeline](m...)),
+		profiles:  dego.Must(dego.Map[UserID, *profile](m...)),
+		community: dego.Must(dego.Set[UserID](placed(d.community)...)),
+		queue:     append([]dego.Option{dego.On(r)}, d.timeline...),
+		record:    record,
 	}
 }
 
-func (b *degoBackend) Name() string { return "DEGO" }
+// timelinePlan plans one timeline from the declaration.
+func (b *pushBackend) timelinePlan() dego.Plan {
+	return dego.Must(dego.Queue[Tweet](b.queue...)).Plan()
+}
 
-func (b *degoBackend) AddUser(h *core.Handle, u UserID) {
-	b.followers.Put(h, u, set.NewLocked[UserID](4, b.probe))
-	b.following.Put(h, u, set.NewLocked[UserID](4, b.probe))
-	b.timelines.Put(h, u, dego.Must(dego.Queue[Tweet](dego.SingleReader(),
-		dego.WithProbe(b.probe))).Representation().(*dego.MPSCQueue[Tweet]))
+func (b *pushBackend) newTimeline(u UserID) timeline {
+	if b.record && u == 0 {
+		opts := append(b.queue[:len(b.queue):len(b.queue)], dego.WithUsageRecording())
+		return dego.Must(dego.Queue[Tweet](opts...))
+	}
+	q := dego.Must(dego.Queue[Tweet](b.queue...))
+	if t, ok := q.Representation().(timeline); ok {
+		return t
+	}
+	return q
+}
+
+func (b *pushBackend) Name() string { return b.kind.String() }
+
+func (b *pushBackend) AddUser(h *core.Handle, u UserID) {
+	b.followers.Put(h, u, set.NewLocked[UserID](4, nil))
+	b.following.Put(h, u, set.NewLocked[UserID](4, nil))
+	b.timelines.Put(h, u, b.newTimeline(u))
 	b.profiles.Put(h, u, &profile{})
 }
 
-func (b *degoBackend) Follow(_ *core.Handle, follower, followee UserID) {
-	// Map reads only; the inner sets are deliberately NOT adjusted (§6.3:
-	// adjusting them costs more in write amplification than it saves).
+func (b *pushBackend) Follow(_ *core.Handle, follower, followee UserID) {
+	// Map reads only: the inner sets absorb the writes.
 	if s, ok := b.following.Get(follower); ok {
 		s.Add(followee)
 	}
@@ -207,7 +170,7 @@ func (b *degoBackend) Follow(_ *core.Handle, follower, followee UserID) {
 	}
 }
 
-func (b *degoBackend) Unfollow(_ *core.Handle, follower, followee UserID) {
+func (b *pushBackend) Unfollow(_ *core.Handle, follower, followee UserID) {
 	if s, ok := b.following.Get(follower); ok {
 		s.Remove(followee)
 	}
@@ -216,7 +179,7 @@ func (b *degoBackend) Unfollow(_ *core.Handle, follower, followee UserID) {
 	}
 }
 
-func (b *degoBackend) Post(_ *core.Handle, author UserID, t Tweet) {
+func (b *pushBackend) Post(h *core.Handle, author UserID, t Tweet) {
 	fset, ok := b.followers.Get(author)
 	if !ok {
 		return
@@ -224,22 +187,22 @@ func (b *degoBackend) Post(_ *core.Handle, author UserID, t Tweet) {
 	n := 0
 	fset.Range(func(f UserID) bool {
 		if q, ok := b.timelines.Get(f); ok {
-			// Any thread may produce into an MPSC timeline; the offer is
-			// handle-free from the producer side (nil handle is fine with
-			// checking off).
-			q.Offer(nil, t)
+			// Any thread may produce into a timeline.
+			q.Offer(h, t)
 		}
 		n++
 		return n < FanoutLimit
 	})
 }
 
-func (b *degoBackend) Timeline(h *core.Handle, u UserID, out []Tweet) int {
+// Timeline fetches every queued message and keeps the most recent len(out)
+// of them (the paper reads the full queue and returns the last 50). The
+// owner thread is the queue's unique consumer.
+func (b *pushBackend) Timeline(h *core.Handle, u UserID, out []Tweet) int {
 	q, ok := b.timelines.Get(u)
 	if !ok {
 		return 0
 	}
-	// The owner thread is the queue's unique consumer (Q1, MWSR).
 	n := 0
 	for {
 		t, ok := q.Poll(h)
@@ -257,23 +220,23 @@ func (b *degoBackend) Timeline(h *core.Handle, u UserID, out []Tweet) int {
 	return n
 }
 
-func (b *degoBackend) JoinGroup(h *core.Handle, u UserID)  { b.community.Add(h, u) }
-func (b *degoBackend) LeaveGroup(h *core.Handle, u UserID) { b.community.Remove(h, u) }
+func (b *pushBackend) JoinGroup(h *core.Handle, u UserID)  { b.community.Add(h, u) }
+func (b *pushBackend) LeaveGroup(h *core.Handle, u UserID) { b.community.Remove(h, u) }
 
-func (b *degoBackend) UpdateProfile(h *core.Handle, u UserID, version int64) {
+func (b *pushBackend) UpdateProfile(h *core.Handle, u UserID, version int64) {
 	b.profiles.Put(h, u, &profile{Version: version})
 }
 
-func (b *degoBackend) InGroup(u UserID) bool { return b.community.Contains(u) }
+func (b *pushBackend) InGroup(u UserID) bool { return b.community.Contains(u) }
 
-func (b *degoBackend) Followers(u UserID) int {
+func (b *pushBackend) Followers(u UserID) int {
 	if s, ok := b.followers.Get(u); ok {
 		return s.Len()
 	}
 	return 0
 }
 
-func (b *degoBackend) Users() int { return b.profiles.Len() }
+func (b *pushBackend) Users() int { return b.profiles.Len() }
 
 // ---------------------------------------------------------------------------
 // ADAPTIVE backend
@@ -299,7 +262,7 @@ func postKey(author UserID, seq int64) uint64 {
 // tlCursor is a user's timeline read position: the last-seen sequence number
 // per followee. It is an immutable snapshot, replaced wholesale by the
 // user's owner thread on each timeline read (the same RCU-style profile
-// idiom both other backends use).
+// idiom the push-model backend uses).
 type tlCursor struct {
 	seen map[UserID]int64
 }
@@ -310,7 +273,7 @@ type tlCursor struct {
 // the extended segmentation — and the timelines are one shared
 // adaptive.SortedMap used as a pull-model post log.
 //
-// The timeline design differs from JUC/DEGO by necessity: push-model fan-out
+// The timeline design differs from the push model by necessity: push-model fan-out
 // (author writes into each follower's queue) is MWSR, which the sorted map's
 // commuting-writers contract cannot express. Instead the backend fans out on
 // read: Post appends to the author's own contiguous key range of the log
@@ -327,7 +290,6 @@ type adaptiveBackend struct {
 	cursors   *dego.AdaptiveMap[UserID, *tlCursor]
 	profiles  *dego.AdaptiveMap[UserID, *profile]
 	community *dego.AdaptiveMap[UserID, struct{}]
-	probe     *contention.Probe
 }
 
 // adMap plans a contention-adaptive per-user map: commuting writers in
@@ -337,9 +299,9 @@ func adMap[V any](r *core.Registry, capacity, dir int) *dego.AdaptiveMap[UserID,
 		dego.Stripes(256), dego.Capacity(capacity), dego.Buckets(dir), dego.WithHash(userHash))).Adaptive()
 }
 
-// NewAdaptive builds the contention-adaptive backend over a registry; probe
-// may be nil (each adaptive object carries its own probe regardless).
-func NewAdaptive(r *core.Registry, expectedUsers int, probe *contention.Probe) Backend {
+// NewAdaptive builds the contention-adaptive backend over a registry (each
+// adaptive object carries its own contention probe).
+func NewAdaptive(r *core.Registry, expectedUsers int) Backend {
 	dir := expectedUsers * 2
 	return &adaptiveBackend{
 		followers: adMap[*set.Locked[UserID]](r, expectedUsers, dir),
@@ -350,21 +312,20 @@ func NewAdaptive(r *core.Registry, expectedUsers int, probe *contention.Probe) B
 		cursors:   adMap[*tlCursor](r, expectedUsers, dir),
 		profiles:  adMap[*profile](r, expectedUsers, dir),
 		community: adMap[struct{}](r, expectedUsers/8+16, dir),
-		probe:     probe,
 	}
 }
 
 func (b *adaptiveBackend) Name() string { return "ADAPTIVE" }
 
 func (b *adaptiveBackend) AddUser(h *core.Handle, u UserID) {
-	b.followers.Put(h, u, set.NewLocked[UserID](4, b.probe))
-	b.following.Put(h, u, set.NewLocked[UserID](4, b.probe))
+	b.followers.Put(h, u, set.NewLocked[UserID](4, nil))
+	b.following.Put(h, u, set.NewLocked[UserID](4, nil))
 	b.profiles.Put(h, u, &profile{})
 }
 
 func (b *adaptiveBackend) Follow(_ *core.Handle, follower, followee UserID) {
 	// Map reads only; the inner sets are deliberately NOT adjusted, as in
-	// the DEGO backend (§6.3).
+	// the push-model backend (§6.3).
 	if s, ok := b.following.Get(follower); ok {
 		s.Add(followee)
 	}

@@ -4,14 +4,25 @@
 // leave an interest group, and update their profiles.
 //
 // The application maintains five shared structures — mapFollowers,
-// mapFollowing, mapTimelines, mapProfiles and community — in three versions:
+// mapFollowing, mapTimelines, mapProfiles and community — plus one timeline
+// queue per user. It is written once; the backends that run it differ only
+// in how each structure is declared (see declare in backends.go):
 //
-//   - JUC: lock-striped maps and sets, Michael–Scott timeline queues.
-//   - DEGO: the maps are adjusted to (M2, CWMR) segmented maps, the timeline
-//     queues to multi-producer single-consumer, and the community set to
-//     CWMR. The follower/following sets inside the maps stay JUC-style: the
-//     paper reports that adjusting them too costs more in write
-//     amplification than it saves in contention.
+//   - JUC: nothing declared, so the planner yields lock-striped maps and
+//     sets and Michael–Scott timeline queues.
+//   - DEGO: the maps are declared commuting-writers, (M2, CWMR) segmented
+//     maps; the community set likewise (S3, CWMR); the timeline queues are
+//     single-consumer (Q1, MWSR). The follower/following sets inside the
+//     maps stay JUC-style: the paper reports that adjusting them too costs
+//     more in write amplification than it saves in contention.
+//   - FLAT: the DEGO declaration without hash or directory tuning, which
+//     the planner places in flat open-addressing tables.
+//
+// The advisor replay (AdviseRun) is the same application again, under the
+// JUC declaration with usage recording on.
+//
+// Two backends use different algorithms and are written separately:
+//
 //   - DAP: disjoint-access parallel — each thread works on private
 //     unsynchronized structures; the upper bound on parallel performance.
 //   - ADAPTIVE: every shared structure is a contention-adaptive object — the

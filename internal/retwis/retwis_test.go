@@ -2,8 +2,10 @@ package retwis
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"github.com/adjusted-objects/dego"
 	"github.com/adjusted-objects/dego/internal/core"
 )
 
@@ -34,14 +36,10 @@ func TestMixTable2(t *testing.T) {
 
 func eachBackend(t *testing.T, users, threads int, f func(t *testing.T, b Backend, h []*core.Handle)) {
 	t.Helper()
-	for _, kind := range []Kind{KindJUC, KindDEGO, KindDAP, KindADAPTIVE, KindFLAT} {
-		kind := kind
+	for _, kind := range kinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			reg := core.NewRegistry(2*threads + 8)
-			workers := make([]*core.Handle, threads)
-			for i := range workers {
-				workers[i] = reg.MustRegister()
-			}
+			workers := register(reg, threads)
 			p := testParams(users, threads)
 			b, _ := Build(kind, p, reg)
 			f(t, b, workers)
@@ -152,8 +150,7 @@ func TestGraphSeedIsPowerLaw(t *testing.T) {
 }
 
 func TestRunAllBackends(t *testing.T) {
-	for _, kind := range []Kind{KindJUC, KindDEGO, KindDAP, KindADAPTIVE, KindFLAT} {
-		kind := kind
+	for _, kind := range kinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
 			p := testParams(512, 4)
@@ -216,37 +213,100 @@ func TestFigure9And10Printers(t *testing.T) {
 	}
 }
 
-// TestRunPreservesInvariants: after a full mixed run, the backend's state
-// still satisfies the application invariants — user count only grew, and
-// the follow/unfollow converse-application rule (§6.3) kept the seeded
-// social graph intact for a probe user.
+// TestRunPreservesInvariants drives the shared op loop on a built backend
+// and checks the application invariants on that same backend: every drawn
+// AddUser registered exactly one user, and follow-then-unfollow (§6.3) can
+// only remove seeded edges, never add one, and only edges a Follow drew.
 func TestRunPreservesInvariants(t *testing.T) {
-	for _, kind := range []Kind{KindJUC, KindDEGO, KindDAP, KindADAPTIVE, KindFLAT} {
-		kind := kind
+	const probe = UserID(1)
+	for _, kind := range kinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			reg := core.NewRegistry(24)
-			workers := make([]*core.Handle, 4)
-			for i := range workers {
-				workers[i] = reg.MustRegister()
-			}
 			p := testParams(1000, 4)
+			reg := core.NewRegistry(2*p.Threads + 8)
+			workers := register(reg, p.Threads)
 			b, _ := Build(kind, p, reg)
-			before := b.Followers(1)
-			res, err := Run(kind, p)
-			if err != nil {
-				t.Fatal(err)
+			before := b.Followers(probe)
+
+			parts := partition(p)
+			added := make([]int, p.Threads)
+			touched := make([]map[UserID]bool, p.Threads) // followers of probe a Follow drew
+			var wg sync.WaitGroup
+			for tid, h := range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					gen := NewGenerator(tid, p, parts[tid], kind == KindDAP)
+					tl := make([]Tweet, TimelineSize)
+					touched[tid] = map[UserID]bool{}
+					for i := 0; i < p.OpsPerThread; i++ {
+						op := gen.Next()
+						switch {
+						case op.Kind == OpAddUser:
+							added[tid]++
+						case op.Kind == OpFollow && op.Target == probe:
+							touched[tid][op.User] = true
+						}
+						apply(b, h, op, tl)
+					}
+				}()
 			}
-			if res.Ops == 0 {
-				t.Fatal("no ops")
+			wg.Wait()
+
+			want, lost := p.Users, 0
+			for tid := range workers {
+				want += added[tid]
+				lost += len(touched[tid]) // a follower is owned by one thread
 			}
-			// A fresh build of the same seed reproduces the same graph.
-			reg2 := core.NewRegistry(24)
-			b2, _ := Build(kind, p, reg2)
-			if got := b2.Followers(1); got != before {
-				t.Fatalf("graph seeding not deterministic: %d vs %d", got, before)
+			if added[0] == 0 {
+				t.Fatal("the mix drew no AddUser; the user-count check is vacuous")
 			}
-			if b2.Users() != p.Users {
-				t.Fatalf("users = %d, want %d", b2.Users(), p.Users)
+			if got := b.Users(); got != want {
+				t.Fatalf("Users = %d, want %d seeded + %d added", got, p.Users, want-p.Users)
+			}
+			if got := b.Followers(probe); got > before || got < before-lost {
+				t.Fatalf("Followers(%d) = %d, want within [%d, %d]", probe, got, before-lost, before)
+			}
+		})
+	}
+}
+
+// TestDeclarationsPlan pins the representation the planner picks for every
+// table of each push-model declaration. The application never names a
+// representation, so a planner change that moves a table fails here rather
+// than silently changing what a figure measures.
+func TestDeclarationsPlan(t *testing.T) {
+	type plan struct{ rep, declared string }
+	for _, c := range []struct {
+		kind                      Kind
+		userMap, community, queue plan
+	}{
+		{KindJUC, plan{"StripedMap", "(M1, ALL)"}, plan{"StripedSet", "(S1, ALL)"}, plan{"MSQueue", "(Q1, ALL)"}},
+		{KindDEGO, plan{"SegmentedMap", "(M2, CWMR)"}, plan{"SegmentedSet", "(S3, CWMR)"}, plan{"MPSCQueue", "(Q1, MWSR)"}},
+		{KindFLAT, plan{"FlatMap", "(M2, CWMR)"}, plan{"FlatSet", "(S3, CWMR)"}, plan{"MPSCQueue", "(Q1, MWSR)"}},
+	} {
+		t.Run(c.kind.String(), func(t *testing.T) {
+			reg := core.NewRegistry(16)
+			b, _ := Build(c.kind, testParams(64, 4), reg)
+			pb := b.(*pushBackend)
+			check := func(table string, got dego.Plan, want plan) {
+				t.Helper()
+				if got.Rep != want.rep || got.Declared() != want.declared {
+					t.Errorf("%s: planned %s %s, want %s %s", table, got.Rep, got.Declared(), want.rep, want.declared)
+				}
+			}
+			check("followers", pb.followers.Plan(), c.userMap)
+			check("following", pb.following.Plan(), c.userMap)
+			check("timelines", pb.timelines.Plan(), c.userMap)
+			check("profiles", pb.profiles.Plan(), c.userMap)
+			check("community", pb.community.Plan(), c.community)
+			check("timeline", pb.timelinePlan(), c.queue)
+
+			// A timeline stores the bare MPSC representation; only the
+			// Michael–Scott baseline, which lacks the handle-taking
+			// methods, keeps its facade.
+			q, _ := pb.timelines.Get(1)
+			if _, facade := q.(*dego.AdjustedQueue[Tweet]); facade != (c.queue.rep == "MSQueue") {
+				t.Errorf("user timeline stored as %T", q)
 			}
 		})
 	}

@@ -23,10 +23,22 @@ const (
 	KindFLAT
 )
 
-// String returns the backend label used in the figures.
+// String returns the backend label.
 func (k Kind) String() string {
 	return [...]string{"", "JUC", "DEGO", "DAP", "ADAPTIVE", "FLAT"}[k]
 }
+
+// label returns the short column label the figures print.
+func (k Kind) label() string {
+	if k == KindADAPTIVE {
+		return "ADPT"
+	}
+	return k.String()
+}
+
+// kinds lists every backend, in the order the figures print them; the
+// first is the JUC baseline Figure 9 divides by.
+var kinds = []Kind{KindJUC, KindDEGO, KindADAPTIVE, KindDAP, KindFLAT}
 
 // Params configures one benchmark run (§6.3).
 type Params struct {
@@ -79,47 +91,77 @@ func (r Result) OpsPerSec() float64 {
 	return float64(r.Ops) / r.Elapsed.Seconds()
 }
 
+// validate checks the parameters every run needs: a Table-2 mix summing to
+// 100% and at least one user per thread.
+func (p Params) validate() error {
+	if err := p.Mix.Validate(); err != nil {
+		return err
+	}
+	if p.Users < p.Threads {
+		return fmt.Errorf("retwis: need at least one user per thread (%d < %d)", p.Users, p.Threads)
+	}
+	return nil
+}
+
 // owner returns the thread owning user u on the (degenerate) consistent-hash
 // ring.
 func owner(u UserID, threads int) int { return int(int64(u) % int64(threads)) }
 
-// Build constructs the backend and seeds the social graph following the
-// method of §6.3: a directed graph whose in-degree distribution abides by a
-// power law (the clustering-boost step of Schweimer et al. is omitted, as in
-// the paper). It returns the backend and the priming handles (one per
-// partition, ids T..2T-1) used for ownership-correct seeding.
+// register hands out n handles of reg.
+func register(reg *core.Registry, n int) []*core.Handle {
+	hs := make([]*core.Handle, n)
+	for i := range hs {
+		hs[i] = reg.MustRegister()
+	}
+	return hs
+}
+
+// partition returns each thread's share of the initial users.
+func partition(p Params) [][]UserID {
+	parts := make([][]UserID, p.Threads)
+	for u := 0; u < p.Users; u++ {
+		t := owner(UserID(u), p.Threads)
+		parts[t] = append(parts[t], UserID(u))
+	}
+	return parts
+}
+
+// Build constructs the backend and seeds the social graph, using one
+// priming handle per partition (ids T..2T-1 when the T workers registered
+// first). It returns the backend and the priming handles.
 func Build(kind Kind, p Params, reg *core.Registry) (Backend, []*core.Handle) {
 	var b Backend
 	switch kind {
-	case KindJUC:
-		b = NewJUC(p.Users, nil)
-	case KindDEGO:
-		b = NewDEGO(reg, p.Users, nil)
+	case KindJUC, KindDEGO, KindFLAT:
+		b = newPushBackend(kind, reg, p.Users, false)
 	case KindDAP:
 		b = NewDAP(p.Threads)
 	case KindADAPTIVE:
-		b = NewAdaptive(reg, p.Users, nil)
-	case KindFLAT:
-		b = NewFlat(reg, p.Users, nil)
+		b = NewAdaptive(reg, p.Users)
 	default:
 		panic(fmt.Sprintf("retwis: unknown backend kind %d", int(kind)))
 	}
+	primers := register(reg, p.Threads)
+	seed(b, p, primers, kind == KindDAP)
+	return b, primers
+}
 
-	primers := make([]*core.Handle, p.Threads)
-	for i := range primers {
-		primers[i] = reg.MustRegister()
-	}
-
+// seed registers users 0..p.Users-1 and draws the follower graph following
+// the method of §6.3: a directed graph whose in-degree distribution abides
+// by a power law (the clustering-boost step of Schweimer et al. is omitted,
+// as in the paper). Each write runs on handles[t] of the thread t owning
+// the acting user; confined keeps every edge inside one partition (the DAP
+// contract).
+func seed(b Backend, p Params, handles []*core.Handle, confined bool) {
 	for u := 0; u < p.Users; u++ {
 		uid := UserID(u)
-		b.AddUser(primers[owner(uid, p.Threads)], uid)
+		b.AddUser(handles[owner(uid, p.Threads)], uid)
 	}
 
 	// Follower edges: each user u receives deg(u) followers, deg drawn from
 	// a power law; followers are picked with a Zipf-biased sampler (popular
-	// users follow more, mirroring the activity skew). A Follow must run on
-	// the FOLLOWER's owner thread; under DAP it must stay inside one
-	// partition.
+	// users follow more, mirroring the activity skew). A Follow runs on the
+	// FOLLOWER's owner thread.
 	degrees := stats.PowerLawDegrees(p.Users, p.MaxDegree, 2.0, p.Seed)
 	pick := stats.NewZipfian(p.Users, p.Alpha, p.Seed+1)
 	for u := 0; u < p.Users; u++ {
@@ -129,7 +171,7 @@ func Build(kind Kind, p Params, reg *core.Registry) (Backend, []*core.Handle) {
 			if f == uid {
 				continue
 			}
-			if kind == KindDAP {
+			if confined {
 				// Remap the follower into u's partition.
 				delta := (owner(uid, p.Threads) - owner(f, p.Threads) + p.Threads) % p.Threads
 				f = UserID((int(f) + delta) % p.Users)
@@ -137,38 +179,48 @@ func Build(kind Kind, p Params, reg *core.Registry) (Backend, []*core.Handle) {
 					continue
 				}
 			}
-			b.Follow(primers[owner(f, p.Threads)], f, uid)
+			b.Follow(handles[owner(f, p.Threads)], f, uid)
 		}
 	}
-	return b, primers
+}
+
+// apply executes one generated operation on b from the acting thread's
+// handle; tl is the thread's timeline buffer.
+func apply(b Backend, h *core.Handle, op Op, tl []Tweet) {
+	switch op.Kind {
+	case OpAddUser:
+		b.AddUser(h, op.User)
+	case OpFollow:
+		// Follow, then immediately apply the converse to keep the graph
+		// invariant (§6.3); the converse is not measured.
+		b.Follow(h, op.User, op.Target)
+		b.Unfollow(h, op.User, op.Target)
+	case OpPost:
+		b.Post(h, op.User, Tweet{Author: op.User, Seq: op.Seq})
+	case OpTimeline:
+		b.Timeline(h, op.User, tl)
+	case OpJoinGroup:
+		b.JoinGroup(h, op.User)
+	case OpLeaveGroup:
+		b.LeaveGroup(h, op.User)
+	default:
+		b.UpdateProfile(h, op.User, op.Seq)
+	}
 }
 
 // Run executes the benchmark and returns the measurement.
 func Run(kind Kind, p Params) (Result, error) {
-	if err := p.Mix.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return Result{}, err
-	}
-	if p.Users < p.Threads {
-		return Result{}, fmt.Errorf("retwis: need at least one user per thread (%d < %d)", p.Users, p.Threads)
 	}
 	reg := core.NewRegistry(2*p.Threads + 8)
 
 	// Workers register first so their ids are 0..Threads-1 (the DAP
 	// partition index); handles are created here and handed to the worker
 	// goroutines before they start.
-	workers := make([]*core.Handle, p.Threads)
-	for i := range workers {
-		workers[i] = reg.MustRegister()
-	}
-
+	workers := register(reg, p.Threads)
 	b, _ := Build(kind, p, reg)
-
-	// Partition the initial users.
-	partUsers := make([][]UserID, p.Threads)
-	for u := 0; u < p.Users; u++ {
-		t := owner(UserID(u), p.Threads)
-		partUsers[t] = append(partUsers[t], UserID(u))
-	}
+	parts := partition(p)
 
 	var (
 		stop     atomic.Bool
@@ -181,44 +233,21 @@ func Run(kind Kind, p Params) (Result, error) {
 	worker := func(tid int) {
 		defer finished.Done()
 		h := workers[tid]
-		gen := NewGenerator(tid, p, partUsers[tid], kind == KindDAP)
+		gen := NewGenerator(tid, p, parts[tid], kind == KindDAP)
 		tl := make([]Tweet, TimelineSize)
-
-		oneOp := func() {
-			op := gen.Next()
-			switch op.Kind {
-			case OpAddUser:
-				b.AddUser(h, op.User)
-			case OpFollow:
-				// Follow, then immediately apply the converse to keep the
-				// graph invariant (§6.3); the converse is not measured.
-				b.Follow(h, op.User, op.Target)
-				b.Unfollow(h, op.User, op.Target)
-			case OpPost:
-				b.Post(h, op.User, Tweet{Author: op.User, Seq: op.Seq})
-			case OpTimeline:
-				b.Timeline(h, op.User, tl)
-			case OpJoinGroup:
-				b.JoinGroup(h, op.User)
-			case OpLeaveGroup:
-				b.LeaveGroup(h, op.User)
-			default:
-				b.UpdateProfile(h, op.User, op.Seq)
-			}
-		}
 
 		started.Done()
 		<-begin
 		n := int64(0)
 		if p.OpsPerThread > 0 {
 			for i := 0; i < p.OpsPerThread; i++ {
-				oneOp()
+				apply(b, h, gen.Next(), tl)
 				n++
 			}
 		} else {
 			for !stop.Load() {
 				for i := 0; i < 16; i++ {
-					oneOp()
+					apply(b, h, gen.Next(), tl)
 				}
 				n += 16
 			}
@@ -254,31 +283,33 @@ func Run(kind Kind, p Params) (Result, error) {
 	}, nil
 }
 
-// Figure9 regenerates the speedup-vs-JUC table: users × threads, with DEGO,
-// the contention-adaptive backend and DAP relative to the JUC baseline.
+// Figure9 regenerates the speedup-vs-JUC table: users × threads, with every
+// other backend relative to the JUC baseline.
 func Figure9(w io.Writer, base Params, usersList []int, threads []int) error {
 	fmt.Fprintf(w, "=== Figure 9: social network speedup over JUC (Table 2 mix, alpha=%.1f) ===\n\n", base.Alpha)
 	for _, users := range usersList {
-		fmt.Fprintf(w, "## %dK users\n%-10s%12s%12s%12s%14s%12s\n", users/1000,
-			"threads", "JUC Mops/s", "DEGO/JUC", "ADPT/JUC", "DAP/JUC", "FLAT/JUC")
+		fmt.Fprintf(w, "## %dK users\n%-10s%12s", users/1000, "threads", "JUC Mops/s")
+		for _, k := range kinds[1:] {
+			fmt.Fprintf(w, "%12s", k.label()+"/JUC")
+		}
+		fmt.Fprintln(w)
 		for _, t := range threads {
 			p := base
 			p.Users = users
 			p.Threads = t
-			juc, err := Run(KindJUC, p)
+			juc, err := Run(kinds[0], p)
 			if err != nil {
 				return err
 			}
-			var rel [4]float64
-			for i, k := range []Kind{KindDEGO, KindADAPTIVE, KindDAP, KindFLAT} {
+			fmt.Fprintf(w, "%-10d%12.3f", t, juc.OpsPerSec()/1e6)
+			for _, k := range kinds[1:] {
 				res, err := Run(k, p)
 				if err != nil {
 					return err
 				}
-				rel[i] = res.OpsPerSec() / juc.OpsPerSec()
+				fmt.Fprintf(w, "%11.2fx", res.OpsPerSec()/juc.OpsPerSec())
 			}
-			fmt.Fprintf(w, "%-10d%12.3f%12.2fx%12.2fx%13.2fx%11.2fx\n", t,
-				juc.OpsPerSec()/1e6, rel[0], rel[1], rel[2], rel[3])
+			fmt.Fprintln(w)
 		}
 		fmt.Fprintln(w)
 	}
@@ -286,25 +317,27 @@ func Figure9(w io.Writer, base Params, usersList []int, threads []int) error {
 }
 
 // Figure10 regenerates the throughput-vs-alpha table (user access
-// distribution sweep) for the five backends.
+// distribution sweep) for every backend.
 func Figure10(w io.Writer, base Params, alphas []float64) error {
 	fmt.Fprintf(w, "=== Figure 10: varying the user access distribution (users=%d, threads=%d) ===\n\n",
 		base.Users, base.Threads)
-	fmt.Fprintf(w, "%-8s%14s%14s%14s%14s%14s\n", "alpha",
-		"JUC Mops/s", "DEGO Mops/s", "ADPT Mops/s", "DAP Mops/s", "FLAT Mops/s")
+	fmt.Fprintf(w, "%-8s", "alpha")
+	for _, k := range kinds {
+		fmt.Fprintf(w, "%14s", k.label()+" Mops/s")
+	}
+	fmt.Fprintln(w)
 	for _, a := range alphas {
 		p := base
 		p.Alpha = a
-		var vals [5]float64
-		for i, k := range []Kind{KindJUC, KindDEGO, KindADAPTIVE, KindDAP, KindFLAT} {
+		fmt.Fprintf(w, "%-8.2f", a)
+		for _, k := range kinds {
 			res, err := Run(k, p)
 			if err != nil {
 				return err
 			}
-			vals[i] = res.OpsPerSec() / 1e6
+			fmt.Fprintf(w, "%14.3f", res.OpsPerSec()/1e6)
 		}
-		fmt.Fprintf(w, "%-8.2f%14.3f%14.3f%14.3f%14.3f%14.3f\n",
-			a, vals[0], vals[1], vals[2], vals[3], vals[4])
+		fmt.Fprintln(w)
 	}
 	return nil
 }
